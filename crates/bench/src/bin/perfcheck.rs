@@ -15,8 +15,14 @@
 //! request mirrors): a present file must be schema-tagged and every
 //! counter/timer well-formed.
 //!
+//! With `--require-measured` it also fails unless the snapshot measured
+//! simulation work itself (`cells > 0`): a warm replay records zero fresh
+//! cells, which says nothing about simulator speed. CI runs this mode on
+//! the committed snapshot, before any run in the pipeline rewrites it.
+//!
 //! ```text
-//! perfcheck            # validate + summarize results/BENCH_*.json
+//! perfcheck                     # validate + summarize results/BENCH_*.json
+//! perfcheck --require-measured  # ... and reject a snapshot with cells: 0
 //! ```
 #[path = "../util.rs"]
 mod util;
@@ -25,6 +31,16 @@ use levioso_support::Json;
 use std::process::exit;
 
 fn main() {
+    let mut require_measured = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--require-measured" => require_measured = true,
+            _ => {
+                eprintln!("usage: perfcheck [--require-measured]");
+                exit(2);
+            }
+        }
+    }
     let path = util::results_dir().join("BENCH_sim_throughput.json");
     let doc = match std::fs::read_to_string(&path) {
         Ok(d) => d,
@@ -115,6 +131,14 @@ fn main() {
     // all (no cells AND no hits) still fails.
     if cells < 1.0 && hits < 1.0 {
         eprintln!("perfcheck: {}: snapshot records no simulation work", path.display());
+        exit(1);
+    }
+    if require_measured && cells < 1.0 {
+        eprintln!(
+            "perfcheck: {}: snapshot measured no fresh cells (cells: {cells:.0}, {hits:.0} cache \
+             hits) — record one with scripts/perf.sh, which forces --no-cache",
+            path.display()
+        );
         exit(1);
     }
     if cells >= 1.0 && busy <= 0.0 {

@@ -80,6 +80,10 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else { return usage() };
+    if let Err(e) = config.validate() {
+        eprintln!("levrun: {e}");
+        return ExitCode::from(2);
+    }
 
     let source = match std::fs::read_to_string(&path) {
         Ok(s) => s,

@@ -1,5 +1,43 @@
 //! Core and memory-hierarchy configuration (the paper's Table 1).
 
+use crate::specmask::SPEC_MASK_BITS;
+use std::fmt;
+
+/// Largest supported reorder buffer: the speculation masks need two slots
+/// per ROB entry (see [`crate::specmask`]).
+pub const MAX_ROB_SIZE: usize = SPEC_MASK_BITS / 2;
+
+/// A configuration the core cannot simulate.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The ROB size is outside `1..=MAX_ROB_SIZE`.
+    RobSize {
+        /// The requested size.
+        rob_size: usize,
+    },
+    /// A width, queue size or unit count is zero, so the pipeline could
+    /// never make progress.
+    Zero {
+        /// The offending [`CoreConfig`] field.
+        field: &'static str,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::RobSize { rob_size } => write!(
+                f,
+                "ROB size {rob_size} is out of range: supported sizes are 1..={MAX_ROB_SIZE} \
+                 (the speculation masks hold {SPEC_MASK_BITS} slots, two per ROB entry)"
+            ),
+            ConfigError::Zero { field } => write!(f, "{field} is 0; it must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Out-of-order core configuration.
 ///
 /// The default mirrors the class of gem5 configuration the paper evaluates
@@ -53,6 +91,38 @@ impl CoreConfig {
     /// The default (Table 1) configuration.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Checks that the core can simulate this configuration: the ROB size
+    /// is in `1..=MAX_ROB_SIZE`, and no width, queue or unit count is zero
+    /// (the pipeline would stall forever).
+    ///
+    /// # Errors
+    ///
+    /// The first violated constraint, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(1..=MAX_ROB_SIZE).contains(&self.rob_size) {
+            return Err(ConfigError::RobSize { rob_size: self.rob_size });
+        }
+        let counts = [
+            ("fetch_width", self.fetch_width),
+            ("dispatch_width", self.dispatch_width),
+            ("issue_width", self.issue_width),
+            ("commit_width", self.commit_width),
+            ("iq_size", self.iq_size),
+            ("lq_size", self.lq_size),
+            ("sq_size", self.sq_size),
+            ("alu_count", self.alu_count),
+            ("mul_count", self.mul_count),
+            ("div_count", self.div_count),
+            ("mshr_count", self.mshr_count),
+            ("load_ports", self.load_ports),
+            ("store_ports", self.store_ports),
+        ];
+        match counts.iter().find(|(_, n)| *n == 0) {
+            Some(&(field, _)) => Err(ConfigError::Zero { field }),
+            None => Ok(()),
+        }
     }
 
     /// Returns the configuration with a different reorder-buffer size,
@@ -232,6 +302,19 @@ mod tests {
         assert_eq!(c.iq_size, 192);
         let tiny = CoreConfig::default().with_rob_size(16);
         assert!(tiny.iq_size >= 8);
+    }
+
+    #[test]
+    fn validate_rejects_unsimulatable_configs() {
+        assert_eq!(CoreConfig::default().validate(), Ok(()));
+        assert_eq!(CoreConfig::default().with_rob_size(MAX_ROB_SIZE).validate(), Ok(()));
+        for rob in [0, MAX_ROB_SIZE + 1, 600] {
+            let err = CoreConfig::default().with_rob_size(rob).validate().unwrap_err();
+            assert_eq!(err, ConfigError::RobSize { rob_size: rob });
+            assert!(err.to_string().contains("1..=512"), "message names the limit: {err}");
+        }
+        let c = CoreConfig { load_ports: 0, ..CoreConfig::default() };
+        assert_eq!(c.validate(), Err(ConfigError::Zero { field: "load_ports" }));
     }
 
     #[test]

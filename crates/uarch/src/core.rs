@@ -25,24 +25,32 @@
 //!   instead of scanning the ROB (eligible completions always carry the
 //!   current cycle, so heap order equals the old seq-order scan);
 //! * completions wake their consumers through intrusive per-producer
-//!   chains built at rename, and issue walks a sorted ready-set of
-//!   operand-ready instructions in seq order (equal to the old ROB-order
-//!   scan priority). While a serializer (`fence`/`rdcycle`) is in flight
-//!   the core falls back to the full scan, which the serializer semantics
-//!   need anyway.
+//!   chains built at rename, and issue walks a ready set of operand-ready
+//!   instructions oldest first (equal to the old ROB-order scan
+//!   priority). While a serializer (`fence`/`rdcycle`) is in flight the
+//!   core falls back to the full scan, which the serializer semantics
+//!   need anyway;
+//! * the ROB is a ring whose entries stay in place ([`crate::rob`]), and
+//!   every reference to an entry held across cycles (RAT producers,
+//!   wakeup links, completion heap, store queue) is a [`RobRef`], which
+//!   resolves to a ROB index in O(1) through the entry's dense position;
+//! * loads order against a compact store queue ([`crate::lsq`]) rather
+//!   than walking every older ROB entry.
 
 use crate::cache::Hierarchy;
-use crate::config::CoreConfig;
-use crate::dyninstr::{DynInstr, OpState, Operand, Seq, Stage};
+use crate::config::{ConfigError, CoreConfig, MAX_ROB_SIZE};
+use crate::dyninstr::{OpState, Operand, Operands, RobRef, Seq, Stage};
+use crate::lsq::{SqVerdict, StoreQueue};
 use crate::policy::{Gate, LoadMode, SpecView, SpeculationPolicy};
 use crate::predictor::Predictor;
 use crate::refsets::RefSets;
-use crate::specmask::SlotTable;
+use crate::rob::Rob;
+use crate::specmask::{SlotTable, SpecMask};
 use crate::stats::SimStats;
 use crate::trace::{Blame, BlamedKind, BlamedSlot, DelayExplanation, TraceSink};
 use levioso_isa::{read_memory, write_memory, DepSet, Instr, Memory, Program, Reg};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// Register alias table entry.
@@ -50,8 +58,8 @@ use std::fmt;
 enum RatEntry {
     /// Architectural (or already-committed) value.
     Value(i64),
-    /// Produced by the in-flight instruction with this sequence number.
-    Producer(Seq),
+    /// Produced by this in-flight (or since committed) instruction.
+    Producer(RobRef),
 }
 
 /// An instruction fetched but not yet renamed.
@@ -108,6 +116,8 @@ struct IssueUnits {
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
+    /// The core configuration cannot be simulated.
+    Config(ConfigError),
     /// The policy requires compiler annotations but the program has none.
     MissingAnnotations,
     /// The program failed structural validation.
@@ -127,6 +137,7 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SimError::Config(e) => write!(f, "invalid core configuration: {e}"),
             SimError::MissingAnnotations => {
                 f.write_str("policy requires compiler annotations but the program has none")
             }
@@ -169,7 +180,10 @@ pub struct Simulator<'p> {
     hierarchy: Hierarchy,
     predictor: Predictor,
 
-    rob: VecDeque<DynInstr>,
+    /// The reorder buffer, with the issue stage's ready set.
+    rob: Rob,
+    /// The in-flight stores, in age order.
+    sq: StoreQueue,
     fetch_queue: VecDeque<Fetched>,
     fetch_pc: u32,
     fetch_stalled: bool,
@@ -181,12 +195,9 @@ pub struct Simulator<'p> {
     /// old `unresolved` map and unbounded `resolve_cycle` map).
     slots: SlotTable,
 
-    /// Dispatched instructions whose operands are ready (stores: base
-    /// ready), in seq order — the issue scan's candidate set.
-    ready: BTreeSet<Seq>,
     /// Min-heap of pending completions `(done_cycle, seq)`; entries for
     /// squashed instructions are skipped at pop.
-    completions: BinaryHeap<Reverse<(u64, Seq)>>,
+    completions: BinaryHeap<Reverse<(u64, RobRef)>>,
     /// Serializers currently in the ROB; while non-zero, issue uses the
     /// full-scan path that serializer semantics require.
     serializer_count: usize,
@@ -197,7 +208,6 @@ pub struct Simulator<'p> {
     outstanding_misses: usize,
     iq_count: usize,
     lq_count: usize,
-    sq_count: usize,
     stats: SimStats,
     halted: bool,
 
@@ -217,17 +227,23 @@ pub struct Simulator<'p> {
 
 impl<'p> Simulator<'p> {
     /// Creates a simulator for `program` with the given configuration.
+    /// An invalid configuration (see [`CoreConfig::validate`]) is reported
+    /// by [`Simulator::run`].
     pub fn new(program: &'p Program, config: CoreConfig) -> Self {
         let hierarchy = Hierarchy::new(&config.hierarchy);
         let predictor = Predictor::new(&config.predictor);
-        let slots = SlotTable::new(config.rob_size);
+        // Sized within bounds so construction cannot panic; `run` refuses
+        // an out-of-range ROB before simulating anything.
+        let rob_size = config.rob_size.min(MAX_ROB_SIZE);
+        let slots = SlotTable::new(rob_size, &program.instrs);
         Simulator {
             program,
             config,
             mem: Memory::new(),
             hierarchy,
             predictor,
-            rob: VecDeque::new(),
+            rob: Rob::new(rob_size),
+            sq: StoreQueue::default(),
             fetch_queue: VecDeque::new(),
             fetch_pc: 0,
             fetch_stalled: false,
@@ -235,7 +251,6 @@ impl<'p> Simulator<'p> {
             rat: [RatEntry::Value(0); Reg::COUNT],
             arch_regs: [0; Reg::COUNT],
             slots,
-            ready: BTreeSet::new(),
             completions: BinaryHeap::new(),
             serializer_count: 0,
             next_seq: 0,
@@ -243,7 +258,6 @@ impl<'p> Simulator<'p> {
             outstanding_misses: 0,
             iq_count: 0,
             lq_count: 0,
-            sq_count: 0,
             stats: SimStats::default(),
             halted: false,
             scratch_actions: Vec::new(),
@@ -309,6 +323,21 @@ impl<'p> Simulator<'p> {
         self.refsets.as_ref().map_or(0, |r| r.events_checked)
     }
 
+    /// Number of ROB lookups the reference oracle checked against a binary
+    /// search (0 when checking is disabled).
+    #[doc(hidden)]
+    pub fn reference_lookups_checked(&self) -> u64 {
+        self.refsets.as_ref().map_or(0, |r| r.lookups_checked.get())
+    }
+
+    /// Load ordering verdicts the reference oracle checked against the
+    /// full-ROB scan, as `[blocked, forward, memory]` counts (all 0 when
+    /// checking is disabled).
+    #[doc(hidden)]
+    pub fn reference_lsq_verdicts(&self) -> [u64; 3] {
+        self.refsets.as_ref().map_or([0; 3], |r| r.lsq_checked.get())
+    }
+
     /// `(high-water mark, capacity)` of the speculation slot table
     /// (bounded-state test hook; capacity is 2 × ROB size).
     #[doc(hidden)]
@@ -331,11 +360,12 @@ impl<'p> Simulator<'p> {
             self.redirect,
             self.iq_count,
             self.lq_count,
-            self.sq_count,
+            self.sq.len(),
             self.fetch_queue.len()
         );
         let _ = writeln!(out, "unresolved={:?}", self.slots.mask_seqs(&self.slots.unresolved));
-        for e in &self.rob {
+        for i in 0..self.rob.len() {
+            let e = &self.rob[i];
             let _ = writeln!(
                 out,
                 "  seq={} pc={} {:?} stage={:?} done={} srcs={:?} addr={:?}",
@@ -362,11 +392,13 @@ impl<'p> Simulator<'p> {
     ///
     /// # Errors
     ///
+    /// [`SimError::Config`] if the configuration cannot be simulated;
     /// [`SimError::MissingAnnotations`] if the policy needs annotations the
     /// program lacks; [`SimError::Invalid`] for malformed programs;
     /// [`SimError::PcOutOfRange`] if the committed path leaves the program;
     /// [`SimError::CycleLimit`] on runaway simulations.
     pub fn run(&mut self, policy: &dyn SpeculationPolicy) -> Result<SimStats, SimError> {
+        self.config.validate().map_err(SimError::Config)?;
         if policy.needs_annotations() && self.program.annotations.is_none() {
             return Err(SimError::MissingAnnotations);
         }
@@ -404,11 +436,21 @@ impl<'p> Simulator<'p> {
         Ok(self.stats)
     }
 
-    /// ROB index of the live instruction `seq`, if any. Sequence numbers
-    /// are unique and ascending in the ROB but not contiguous (squashes
-    /// leave gaps), so this is a binary search.
-    fn rob_index(&self, seq: Seq) -> Option<usize> {
-        self.rob.binary_search_by(|e| e.seq.cmp(&seq)).ok()
+    /// ROB index of the entry `r` names, if it is still in flight: one
+    /// subtraction, plus an identity check because a squash may have
+    /// handed the position to a younger instruction.
+    fn rob_index(&self, r: RobRef) -> Option<usize> {
+        let idx = r.pos.wrapping_sub(self.rob.head_pos()) as usize;
+        let found = (idx < self.rob.len() && self.rob[idx].seq == r.seq).then_some(idx);
+        if let Some(refs) = &self.refsets {
+            refs.check_lookup(&self.rob, r.seq, found);
+        }
+        found
+    }
+
+    /// Handle on the ROB entry at index `idx`.
+    fn rob_ref(&self, idx: usize) -> RobRef {
+        RobRef { seq: self.rob[idx].seq, pos: self.rob.head_pos() + idx as u64 }
     }
 
     // ------------------------------------------------------------------
@@ -425,41 +467,47 @@ impl<'p> Simulator<'p> {
             if front.instr.is_store() && front.srcs[1].state.value().is_none() {
                 break;
             }
-            let e = self.rob.pop_front().expect("checked non-empty");
-            if e.instr.is_load() {
+            self.account_commit();
+            let e = &self.rob[0];
+            let (seq, instr, slot, result, serializer) =
+                (e.seq, e.instr, e.slot, e.result, e.is_serializer());
+            let store = match instr {
+                Instr::Store { width, .. } => Some((
+                    width,
+                    e.mem_addr.expect("committed store has an address"),
+                    e.srcs[1].state.value().expect("checked data ready"),
+                )),
+                _ => None,
+            };
+            self.rob.pop_front();
+            if instr.is_load() {
                 self.lq_count -= 1;
             }
-            if e.instr.is_store() {
-                self.sq_count -= 1;
+            if instr.is_store() {
+                self.sq.pop_committed(seq);
             }
-            if e.is_serializer() {
+            if serializer {
                 self.serializer_count -= 1;
             }
-            self.account_commit(&e);
             // The slot outlives the owner until the ROB drains past
             // `next_seq`, so younger in-flight masks never alias it.
-            if let Some(slot) = e.slot {
+            if let Some(slot) = slot {
                 self.slots.free_commit(slot, self.next_seq);
             }
-            match e.instr {
-                Instr::Store { width, .. } => {
-                    let addr = e.mem_addr.expect("committed store has an address");
-                    let data = e.srcs[1].state.value().expect("checked data ready");
-                    write_memory(&mut self.mem, addr, width, data);
-                    // The store's fill becomes architectural at commit.
-                    self.hierarchy.access(addr, self.cycle);
-                }
-                Instr::Halt => {
-                    self.halted = true;
-                    return;
-                }
-                _ => {}
+            if let Some((width, addr, data)) = store {
+                write_memory(&mut self.mem, addr, width, data);
+                // The store's fill becomes architectural at commit.
+                self.hierarchy.access(addr, self.cycle);
             }
-            if let Some(rd) = e.instr.dest() {
-                let v = e.result.expect("done instruction with dest has result");
+            if matches!(instr, Instr::Halt) {
+                self.halted = true;
+                return;
+            }
+            if let Some(rd) = instr.dest() {
+                let v = result.expect("done instruction with dest has result");
                 self.arch_regs[rd.index()] = v;
-                if let RatEntry::Producer(s) = self.rat[rd.index()] {
-                    if s == e.seq {
+                if let RatEntry::Producer(p) = self.rat[rd.index()] {
+                    if p.seq == seq {
                         self.rat[rd.index()] = RatEntry::Value(v);
                     }
                 }
@@ -467,7 +515,9 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn account_commit(&mut self, e: &DynInstr) {
+    /// Commit-time statistics for the ROB head, which is retiring.
+    fn account_commit(&mut self) {
+        let e = &self.rob[0];
         self.stats.committed += 1;
         if e.instr.is_load() {
             self.stats.committed_loads += 1;
@@ -513,10 +563,8 @@ impl<'p> Simulator<'p> {
             }
             waits = Some((sw, tw));
         }
-        if self.refsets.is_some() {
-            let mut r = self.refsets.take().expect("checked");
+        if let Some(r) = self.refsets.as_deref_mut() {
             r.on_commit(e, waits);
-            self.refsets = Some(r);
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             t.on_commit(self.cycle, e);
@@ -534,12 +582,13 @@ impl<'p> Simulator<'p> {
         // identical to the old seq-order ROB scan. Entries whose owner was
         // squashed (including by a resolution earlier this same cycle) no
         // longer resolve through `rob_index` and are skipped.
-        while let Some(&Reverse((done_cycle, seq))) = self.completions.peek() {
+        while let Some(&Reverse((done_cycle, r))) = self.completions.peek() {
             if done_cycle > self.cycle {
                 break;
             }
             self.completions.pop();
-            let Some(idx) = self.rob_index(seq) else { continue }; // squashed meanwhile
+            let Some(idx) = self.rob_index(r) else { continue }; // squashed meanwhile
+            let seq = r.seq;
             debug_assert_eq!(self.rob[idx].stage, Stage::Executing);
             self.rob[idx].stage = Stage::Done;
             if self.rob[idx].holds_mshr {
@@ -562,9 +611,9 @@ impl<'p> Simulator<'p> {
             if self.rob[idx].instr.dest().is_some() {
                 let v = self.rob[idx].result.expect("dest implies result");
                 let mut cur = self.rob[idx].wake_head;
-                while let Some((cseq, oi)) = cur {
+                while let Some((cref, oi)) = cur {
                     let cidx = self
-                        .rob_index(cseq)
+                        .rob_index(cref)
                         .expect("squash rebuilds wake chains, so links are live");
                     let c = &mut self.rob[cidx];
                     c.srcs[oi as usize].state = OpState::Ready(v);
@@ -575,19 +624,20 @@ impl<'p> Simulator<'p> {
                                 && c.srcs[0].state.value().is_some()
                                 && c.mem_addr.is_none());
                         if eligible {
-                            self.ready.insert(cseq);
+                            self.rob.set_ready(cidx);
                         }
                     }
                 }
             }
             if self.rob[idx].is_spec_source() {
-                self.resolve_control(seq);
+                self.resolve_control(idx);
             }
         }
     }
 
-    fn resolve_control(&mut self, seq: Seq) {
-        let idx = self.rob_index(seq).expect("resolving a live instruction");
+    /// Resolves the executed control instruction at ROB index `idx`.
+    fn resolve_control(&mut self, idx: usize) {
+        let seq = self.rob[idx].seq;
         let (pc, actual, predicted, was_stalling, history, checkpoint, instr, slot, taken) = {
             let e = &mut self.rob[idx];
             (
@@ -637,7 +687,7 @@ impl<'p> Simulator<'p> {
 
         if actual != predicted {
             self.stats.mispredicts += 1;
-            self.squash_younger_than(seq);
+            self.squash_younger_than(idx);
             if let Some(cp) = checkpoint {
                 self.predictor.restore(&cp);
                 match instr {
@@ -658,12 +708,11 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn squash_younger_than(&mut self, seq: Seq) {
-        while let Some(back) = self.rob.back() {
-            if back.seq <= seq {
-                break;
-            }
-            let e = self.rob.pop_back().expect("checked non-empty");
+    /// Squashes every instruction younger than the one at ROB index `idx`.
+    fn squash_younger_than(&mut self, idx: usize) {
+        let seq = self.rob[idx].seq;
+        while self.rob.len() > idx + 1 {
+            let e = self.rob.back().expect("checked non-empty");
             self.stats.squashed += 1;
             if e.holds_mshr {
                 self.outstanding_misses -= 1;
@@ -685,16 +734,14 @@ impl<'p> Simulator<'p> {
             if e.instr.is_load() {
                 self.lq_count -= 1;
             }
-            if e.instr.is_store() {
-                self.sq_count -= 1;
-            }
             if let Some(t) = self.tracer.as_deref_mut() {
                 t.on_squash(self.cycle, e.seq, e.pc);
             }
+            // Also leaves the ready set (stale completion-heap entries are
+            // skipped at pop instead).
+            self.rob.pop_back();
         }
-        // Drop squashed entries from the ready set (stale completion-heap
-        // entries are skipped at pop instead).
-        let _ = self.ready.split_off(&(seq + 1));
+        self.sq.squash_younger_than(seq);
         if self.refsets.is_some() {
             let mut r = self.refsets.take().expect("checked");
             r.on_squash_younger(seq);
@@ -704,7 +751,10 @@ impl<'p> Simulator<'p> {
         self.fetch_queue.clear();
         // Rebuild the register alias table from surviving producers, and
         // the wakeup chains from surviving waiters (chains may pass
-        // through squashed consumers).
+        // through squashed consumers). Replaying the survivors in age
+        // order, a waiting operand's producer is exactly what the
+        // rebuilt table holds for its register at that point: nothing
+        // between the two writes the register.
         for r in 1..Reg::COUNT {
             self.rat[r] = RatEntry::Value(self.arch_regs[r]);
         }
@@ -712,22 +762,27 @@ impl<'p> Simulator<'p> {
             self.rob[i].wake_head = None;
         }
         for i in 0..self.rob.len() {
-            if let Some(rd) = self.rob[i].instr.dest() {
-                self.rat[rd.index()] = match (self.rob[i].stage, self.rob[i].result) {
-                    (Stage::Done, Some(v)) => RatEntry::Value(v),
-                    _ => RatEntry::Producer(self.rob[i].seq),
-                };
-            }
-            let cseq = self.rob[i].seq;
+            let c = self.rob_ref(i);
             for oi in 0..self.rob[i].srcs.len() {
-                if let OpState::Waiting(p) = self.rob[i].srcs[oi].state {
+                let src = self.rob[i].srcs[oi];
+                if let OpState::Waiting(p) = src.state {
+                    let RatEntry::Producer(pr) = self.rat[src.reg.index()] else {
+                        unreachable!("a waiting operand's producer is in flight")
+                    };
+                    debug_assert_eq!(pr.seq, p, "the rebuilt alias table names the producer");
                     let pidx = self
-                        .rob_index(p)
+                        .rob_index(pr)
                         .expect("a surviving consumer's producer is older and survives");
                     let head = self.rob[pidx].wake_head;
                     self.rob[i].wake_next[oi] = head;
-                    self.rob[pidx].wake_head = Some((cseq, oi as u8));
+                    self.rob[pidx].wake_head = Some((c, oi as u8));
                 }
+            }
+            if let Some(rd) = self.rob[i].instr.dest() {
+                self.rat[rd.index()] = match (self.rob[i].stage, self.rob[i].result) {
+                    (Stage::Done, Some(v)) => RatEntry::Value(v),
+                    _ => RatEntry::Producer(c),
+                };
             }
         }
     }
@@ -745,7 +800,7 @@ impl<'p> Simulator<'p> {
         debug_assert!(actions.is_empty() && first_ready.is_empty() && delayed.is_empty());
 
         {
-            let view = SpecView { slots: &self.slots, rob: &self.rob };
+            let view = SpecView { slots: &self.slots };
             let mut units = IssueUnits {
                 alu: self.config.alu_count,
                 mul: self.config.mul_count,
@@ -766,15 +821,14 @@ impl<'p> Simulator<'p> {
                 );
             } else {
                 // Fast path: only operand-ready dispatched instructions can
-                // act, and the sorted ready-set walks them in seq order —
-                // the same priority order as the full ROB scan.
-                for &seq in &self.ready {
+                // act, and the ready set walks them oldest first — the same
+                // priority order as the full ROB scan.
+                self.rob.for_each_ready(|idx| {
                     if units.issued >= self.config.issue_width {
                         // The full scan continues past this point only to
                         // track serializers, which are absent here.
-                        break;
+                        return false;
                     }
-                    let idx = self.rob_index(seq).expect("ready entries are live");
                     debug_assert_eq!(self.rob[idx].stage, Stage::Dispatched);
                     self.consider_issue(
                         policy,
@@ -785,7 +839,8 @@ impl<'p> Simulator<'p> {
                         &mut first_ready,
                         &mut delayed,
                     );
-                }
+                    true
+                });
             }
         }
 
@@ -796,7 +851,7 @@ impl<'p> Simulator<'p> {
         if self.tracer.is_some() {
             let mut t = self.tracer.take().expect("checked");
             {
-                let view = SpecView { slots: &self.slots, rob: &self.rob };
+                let view = SpecView { slots: &self.slots };
                 for &(idx, cause) in &delayed {
                     let e = &self.rob[idx];
                     let expl = match cause {
@@ -827,11 +882,8 @@ impl<'p> Simulator<'p> {
                     e.done_cycle = self.cycle + latency;
                     e.result = result;
                     e.actual_next = actual_next;
-                    let seq = e.seq;
                     let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
+                    self.schedule_completion(idx, done);
                     if let Some(t) = self.tracer.as_deref_mut() {
                         t.on_issue(self.cycle, &self.rob[idx]);
                     }
@@ -880,16 +932,13 @@ impl<'p> Simulator<'p> {
                     e.taint_roots.union_with(&kept_taint);
                     e.fwd_true_wait = e.fwd_true_wait.max(stale_wait);
                     e.mem_addr = Some(addr);
-                    let seq = e.seq;
                     let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
+                    self.schedule_completion(idx, done);
                     if self.refsets.is_some() {
                         let mut r = self.refsets.take().expect("checked");
-                        let view = SpecView { slots: &self.slots, rob: &self.rob };
-                        let lidx = self.rob_index(seq).expect("live");
-                        r.on_forward(seq, store_seq, &self.rob[lidx], &self.slots, &view);
+                        let view = SpecView { slots: &self.slots };
+                        let e = &self.rob[idx];
+                        r.on_forward(e.seq, store_seq, e, &self.slots, &view);
                         self.refsets = Some(r);
                     }
                     if let Some(t) = self.tracer.as_deref_mut() {
@@ -933,11 +982,8 @@ impl<'p> Simulator<'p> {
                     e.holds_mshr = is_miss;
                     // Invisible (hit-only) accesses change no cache state.
                     e.touched_cache = !hit_only;
-                    let seq = e.seq;
                     let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
+                    self.schedule_completion(idx, done);
                     if let Some(t) = self.tracer.as_deref_mut() {
                         t.on_issue(self.cycle, &self.rob[idx]);
                     }
@@ -949,11 +995,8 @@ impl<'p> Simulator<'p> {
                     e.done_cycle = self.cycle + 1;
                     e.mem_addr = Some(addr);
                     e.touched_cache = true;
-                    let seq = e.seq;
                     let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
+                    self.schedule_completion(idx, done);
                     if let Some(t) = self.tracer.as_deref_mut() {
                         t.on_issue(self.cycle, &self.rob[idx]);
                     }
@@ -963,11 +1006,9 @@ impl<'p> Simulator<'p> {
                     e.stage = Stage::Executing;
                     e.done_cycle = self.cycle + 1;
                     e.mem_addr = Some(addr);
-                    let seq = e.seq;
+                    self.sq.set_addr(e.seq, addr);
                     let done = e.done_cycle;
-                    self.iq_count -= 1;
-                    self.ready.remove(&seq);
-                    self.completions.push(Reverse((done, seq)));
+                    self.schedule_completion(idx, done);
                     if let Some(t) = self.tracer.as_deref_mut() {
                         t.on_issue(self.cycle, &self.rob[idx]);
                     }
@@ -980,6 +1021,15 @@ impl<'p> Simulator<'p> {
         self.scratch_first_ready = first_ready;
         delayed.clear();
         self.scratch_delayed = delayed;
+    }
+
+    /// Moves the issued instruction at `idx` out of the issue queue and
+    /// schedules its completion at cycle `done`.
+    fn schedule_completion(&mut self, idx: usize, done: u64) {
+        let r = self.rob_ref(idx);
+        self.iq_count -= 1;
+        self.rob.clear_ready(idx);
+        self.completions.push(Reverse((done, r)));
     }
 
     /// The full-ROB issue scan, used while a serializer is in flight: a
@@ -1236,8 +1286,7 @@ impl<'p> Simulator<'p> {
 
     /// Converts a policy's [`DelayExplanation`] into a concrete [`Blame`]:
     /// the *oldest* slot in the blocking mask is the one whose resolution
-    /// the block is actually waiting on. Control slots carry their own pc;
-    /// a load slot's pc comes from its live ROB entry.
+    /// the block is actually waiting on.
     fn blame_of(&self, expl: &DelayExplanation) -> Blame {
         let mut oldest: Option<(Seq, u16)> = None;
         for slot in expl.blocking.iter() {
@@ -1247,60 +1296,37 @@ impl<'p> Simulator<'p> {
             }
         }
         let blamed = oldest.map(|(seq, slot)| {
-            if self.slots.live_load.contains(slot) {
-                let pc = self.rob_index(seq).map_or(0, |i| self.rob[i].pc);
-                BlamedSlot { kind: BlamedKind::Load, seq, pc }
+            let kind = if self.slots.live_load.contains(slot) {
+                BlamedKind::Load
+            } else if self.slots.indirect.contains(slot) {
+                BlamedKind::Indirect
             } else {
-                let kind = if self.slots.indirect.contains(slot) {
-                    BlamedKind::Indirect
-                } else {
-                    BlamedKind::Branch
-                };
-                BlamedSlot { kind, seq, pc: self.slots.pc_of(slot) }
-            }
+                BlamedKind::Branch
+            };
+            BlamedSlot { kind, seq, pc: self.slots.pc_of(slot) }
         });
         Blame { rule: expl.rule, blamed }
     }
 
-    /// Memory-ordering verdict for a load at ROB index `idx`.
+    /// Memory-ordering verdict for a load at ROB index `idx`, from the
+    /// store queue.
     fn lsq_check(&self, idx: usize, addr: u64, width: levioso_isa::MemWidth) -> LsqVerdict {
-        let lo = addr;
-        let hi = addr.wrapping_add(width.bytes());
-        let mut forward: Option<usize> = None;
-        for j in 0..idx {
-            let s = &self.rob[j];
-            if !s.instr.is_store() {
-                continue;
-            }
-            let Some(sa) = s.mem_addr else {
-                return LsqVerdict::Blocked; // unknown older store address
-            };
-            let sw = match s.instr {
-                Instr::Store { width, .. } => width.bytes(),
-                _ => unreachable!(),
-            };
-            let s_hi = sa.wrapping_add(sw);
-            let overlap = sa < hi && lo < s_hi;
-            if !overlap {
-                continue;
-            }
-            if sa == addr && sw == width.bytes() {
-                forward = Some(j); // youngest exact match wins
-            } else {
-                // Partial overlap: wait for the store to drain at commit.
-                return LsqVerdict::Blocked;
-            }
-        }
-        match forward {
-            Some(j) => {
+        let verdict = match self.sq.check(self.rob[idx].seq, addr, width.bytes()) {
+            SqVerdict::Blocked => LsqVerdict::Blocked,
+            SqVerdict::Memory => LsqVerdict::Memory,
+            SqVerdict::Forward(store) => {
+                let j = self.rob_index(store).expect("queued stores are in flight");
                 if self.rob[j].srcs[1].state.value().is_some() {
                     LsqVerdict::Forward(j)
                 } else {
                     LsqVerdict::Blocked // data not yet available
                 }
             }
-            None => LsqVerdict::Memory,
+        };
+        if let Some(refs) = &self.refsets {
+            refs.check_lsq(&self.rob, idx, addr, width, verdict);
         }
+        verdict
     }
 
     // ------------------------------------------------------------------
@@ -1316,50 +1342,41 @@ impl<'p> Simulator<'p> {
             if f.instr.is_load() && self.lq_count >= self.config.lq_size {
                 break;
             }
-            if f.instr.is_store() && self.sq_count >= self.config.sq_size {
+            if f.instr.is_store() && self.sq.len() >= self.config.sq_size {
                 break;
             }
             let f = self.fetch_queue.pop_front().expect("checked non-empty");
             let seq = self.next_seq;
             self.next_seq += 1;
             self.stats.dispatched += 1;
+            let idx = self.rob.len();
+            let me = RobRef { seq, pos: self.rob.head_pos() + idx as u64 };
             let rob_front_seq = self.rob.front().map(|e| e.seq);
 
-            let mut e = DynInstr::new(seq, f.pc, f.instr);
-            e.predicted_next = f.predicted_next;
-            e.history_at_predict = f.history;
-            e.checkpoint = f.checkpoint;
-            e.fetch_stalled = f.stalls_fetch;
-
             // Conservative shadow: every unresolved older control instr.
-            e.shadow = self.slots.unresolved;
+            let shadow = self.slots.unresolved;
 
             // Annotation instances: unresolved dynamic instances of the
             // statically annotated branches, plus every unresolved indirect
             // jump (hardware barrier rule).
             let ann = self.program.annotations.as_ref().map(|a| a.deps_of(f.pc as usize));
-            e.ann_deps = match ann {
-                Some(DepSet::Exact(static_deps)) => {
-                    let mut m = self.slots.unresolved.and(&self.slots.indirect);
-                    for b in self.slots.unresolved.and_not(&self.slots.indirect).iter() {
-                        if static_deps.binary_search(&self.slots.pc_of(b)).is_ok() {
-                            m.set(b);
-                        }
-                    }
-                    m
-                }
-                Some(DepSet::AllOlder) | None => e.shadow,
+            let ann_deps = match ann {
+                Some(DepSet::Exact(static_deps)) => self.slots.annotation_instances(static_deps),
+                Some(DepSet::AllOlder) | None => shadow,
             };
-            e.lev_deps = e.ann_deps;
 
             // Rename sources; inherit Levioso deps + STT taint through the
             // register dataflow. (Taint inheritance keeps only live-load
             // roots: a dead root can never become active again, so the
             // policy verdicts are unchanged and slot bits never outlive
             // their reclamation barrier.)
+            let mut lev_deps = ann_deps;
+            let mut taint_roots = SpecMask::EMPTY;
+            let mut srcs = Operands::new();
+            let mut wake_next = [None, None];
             let mut inherit: [Option<Seq>; 2] = [None, None];
             for reg in f.instr.sources() {
-                let oi = e.srcs.len();
+                let oi = srcs.len();
                 let state = if reg.is_zero() {
                     OpState::Ready(0)
                 } else {
@@ -1367,17 +1384,21 @@ impl<'p> Simulator<'p> {
                         RatEntry::Value(v) => OpState::Ready(v),
                         RatEntry::Producer(p) => {
                             if let Some(pidx) = self.rob_index(p) {
-                                let prod = &self.rob[pidx];
-                                inherit[oi] = Some(p);
-                                e.lev_deps.union_masked(&prod.lev_deps, &self.slots.unresolved);
-                                e.taint_roots
-                                    .union_masked(&prod.taint_roots, &self.slots.live_load);
+                                let prod = &mut self.rob[pidx];
+                                inherit[oi] = Some(p.seq);
+                                lev_deps.union_masked(&prod.lev_deps, &self.slots.unresolved);
+                                taint_roots.union_masked(&prod.taint_roots, &self.slots.live_load);
                                 if prod.instr.is_load() {
-                                    e.taint_roots.set(prod.slot.expect("loads own a slot"));
+                                    taint_roots.set(prod.slot.expect("loads own a slot"));
                                 }
                                 match (prod.stage, prod.result) {
                                     (Stage::Done, Some(v)) => OpState::Ready(v),
-                                    _ => OpState::Waiting(p),
+                                    _ => {
+                                        // Link into the producer's wakeup chain.
+                                        wake_next[oi] = prod.wake_head;
+                                        prod.wake_head = Some((me, oi as u8));
+                                        OpState::Waiting(p.seq)
+                                    }
                                 }
                             } else {
                                 // Producer left the ROB: its value is
@@ -1387,23 +1408,31 @@ impl<'p> Simulator<'p> {
                         }
                     }
                 };
-                if let OpState::Waiting(p) = state {
-                    // Link into the producer's wakeup chain.
-                    let pidx = self.rob_index(p).expect("waiting producer is live");
-                    e.wake_next[oi] = self.rob[pidx].wake_head;
-                    self.rob[pidx].wake_head = Some((seq, oi as u8));
-                }
-                e.srcs.push(Operand { reg, state });
+                srcs.push(Operand { reg, state });
             }
 
             if let Some(rd) = f.instr.dest() {
-                self.rat[rd.index()] = RatEntry::Producer(seq);
+                self.rat[rd.index()] = RatEntry::Producer(me);
             }
+
+            // Filled in place: a `DynInstr` is too large to assemble on
+            // the stack and move into the ROB.
+            let e = self.rob.push_back(seq, f.pc, f.instr);
+            e.predicted_next = f.predicted_next;
+            e.history_at_predict = f.history;
+            e.checkpoint = f.checkpoint;
+            e.fetch_stalled = f.stalls_fetch;
+            e.shadow = shadow;
+            e.ann_deps = ann_deps;
+            e.lev_deps = lev_deps;
+            e.taint_roots = taint_roots;
+            e.srcs = srcs;
+            e.wake_next = wake_next;
             if e.is_spec_source() {
                 e.slot =
                     Some(self.slots.alloc_ctrl(seq, f.pc, f.instr.is_indirect(), rob_front_seq));
             } else if f.instr.is_load() {
-                e.slot = Some(self.slots.alloc_load(seq, e.shadow, rob_front_seq));
+                e.slot = Some(self.slots.alloc_load(seq, f.pc, shadow, rob_front_seq));
             }
             if e.is_serializer() {
                 self.serializer_count += 1;
@@ -1411,28 +1440,25 @@ impl<'p> Simulator<'p> {
             if f.instr.is_load() {
                 self.lq_count += 1;
             }
-            if f.instr.is_store() {
-                self.sq_count += 1;
+            if let Instr::Store { width, .. } = f.instr {
+                self.sq.push(me, width.bytes());
             }
             self.iq_count += 1;
 
             // Initial issue eligibility.
             let eligible =
                 e.operands_ready() || (e.instr.is_store() && e.srcs[0].state.value().is_some());
-            if eligible {
-                self.ready.insert(seq);
-            }
 
-            if self.refsets.is_some() {
-                let mut r = self.refsets.take().expect("checked");
-                let view = SpecView { slots: &self.slots, rob: &self.rob };
-                r.on_dispatch(&e, ann, &inherit, &self.slots, &view);
-                self.refsets = Some(r);
+            if let Some(r) = self.refsets.as_deref_mut() {
+                let view = SpecView { slots: &self.slots };
+                r.on_dispatch(e, ann, &inherit, &self.slots, &view);
             }
             if let Some(t) = self.tracer.as_deref_mut() {
-                t.on_dispatch(self.cycle, &e);
+                t.on_dispatch(self.cycle, e);
             }
-            self.rob.push_back(e);
+            if eligible {
+                self.rob.set_ready(idx);
+            }
         }
     }
 
@@ -1515,7 +1541,8 @@ impl<'p> Simulator<'p> {
     }
 }
 
-enum LsqVerdict {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LsqVerdict {
     /// Must wait (unknown older store address, partial overlap, or
     /// forwarding data not ready).
     Blocked,

@@ -8,6 +8,23 @@ use std::ops::{Index, IndexMut};
 /// simulation; orders age).
 pub type Seq = u64;
 
+/// A handle on an in-flight ROB entry: its sequence number plus its dense
+/// ROB *position*.
+///
+/// Positions number dispatches like sequence numbers do, but a squash
+/// rewinds them, so the live ROB always holds a contiguous run of
+/// positions and a handle resolves to a ROB index with one subtraction
+/// (`pos − head position`). The sequence number stays the identity:
+/// it tells an entry apart from a younger one that reused its position
+/// after a squash. Handles order by sequence number, i.e. by age.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RobRef {
+    /// The entry's sequence number.
+    pub seq: Seq,
+    /// The entry's dense ROB position.
+    pub pos: u64,
+}
+
 /// Pipeline stage of a dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -182,8 +199,6 @@ pub struct DynInstr {
 
     /// Effective address (valid once a load/store/flush computes it).
     pub mem_addr: Option<u64>,
-    /// Store data value (captured when the data operand becomes ready).
-    pub store_data: Option<i64>,
     /// For forwarded loads: the store that supplied the data.
     pub forwarded_from: Option<Seq>,
 
@@ -210,10 +225,10 @@ pub struct DynInstr {
 
     /// Head of this producer's wakeup chain: the youngest-registered
     /// consumer waiting on this instruction's result, as
-    /// `(consumer seq, operand index)`.
-    pub wake_head: Option<(Seq, u8)>,
+    /// `(consumer, operand index)`.
+    pub wake_head: Option<(RobRef, u8)>,
     /// Per-operand next link in the producer's wakeup chain.
-    pub wake_next: [Option<(Seq, u8)>; 2],
+    pub wake_next: [Option<(RobRef, u8)>; 2],
 
     /// Measured at first operand-readiness: was any `shadow` branch still
     /// unresolved? (F1 motivation counter, conservative view.)
@@ -249,7 +264,6 @@ impl DynInstr {
             checkpoint: None,
             actual_next: None,
             mem_addr: None,
-            store_data: None,
             forwarded_from: None,
             slot: None,
             shadow: SpecMask::EMPTY,

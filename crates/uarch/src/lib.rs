@@ -23,9 +23,11 @@ pub mod cache;
 pub mod config;
 mod core;
 pub mod dyninstr;
+mod lsq;
 pub mod policy;
 pub mod predictor;
 mod refsets;
+mod rob;
 pub mod specmask;
 pub mod stats;
 pub mod trace;
@@ -56,8 +58,10 @@ pub fn core_fingerprint() -> String {
     format!("core-v{CORE_REV}")
 }
 pub use cache::{CacheStats, Hierarchy, SetAssocCache};
-pub use config::{CacheConfig, CoreConfig, HierarchyConfig, PredictorConfig};
-pub use dyninstr::{DynInstr, OpState, Operand, Operands, Seq, Stage};
+pub use config::{
+    CacheConfig, ConfigError, CoreConfig, HierarchyConfig, PredictorConfig, MAX_ROB_SIZE,
+};
+pub use dyninstr::{DynInstr, OpState, Operand, Operands, RobRef, Seq, Stage};
 pub use policy::{Gate, LoadMode, SpecView, SpeculationPolicy, UnsafeBaseline};
 pub use predictor::Predictor;
 pub use specmask::SpecMask;

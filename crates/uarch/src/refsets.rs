@@ -19,11 +19,22 @@
 //! * at commit, the F1 wait statistics (`shadow`/`true` wait cycles)
 //!   computed from per-slot resolve cycles must equal the reference values
 //!   computed from the unbounded seq-keyed map.
+//!
+//! It also keeps the scan-based versions of the core's two O(1) lookup
+//! paths and asserts that they agree on every call:
+//!
+//! * every [`crate::dyninstr::RobRef`] resolution must find the entry a
+//!   binary search of the ROB by sequence number finds;
+//! * every load's store-queue ordering verdict must equal the full-ROB
+//!   scan over all older entries.
 
+use crate::core::LsqVerdict;
 use crate::dyninstr::{DynInstr, Seq};
 use crate::policy::SpecView;
+use crate::rob::Rob;
 use crate::specmask::SlotTable;
-use levioso_isa::DepSet;
+use levioso_isa::{DepSet, Instr, MemWidth};
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
 /// Reference (old-implementation) per-instruction sets.
@@ -48,6 +59,55 @@ pub(crate) struct RefSets {
     instrs: BTreeMap<Seq, RefInstr>,
     /// Number of equivalence assertions evaluated.
     pub(crate) events_checked: u64,
+    /// Number of ROB-handle resolutions checked against the binary search.
+    pub(crate) lookups_checked: Cell<u64>,
+    /// Load ordering verdicts checked against the full-ROB scan, by kind:
+    /// `[blocked, forward, memory]`.
+    pub(crate) lsq_checked: Cell<[u64; 3]>,
+}
+
+/// The pre-handle ROB lookup: a binary search by sequence number (the
+/// ROB is ascending in `seq` but has gaps where squashes were).
+fn reference_rob_index(rob: &Rob, seq: Seq) -> Option<usize> {
+    let (mut lo, mut hi) = (0, rob.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if rob[mid].seq < seq {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo < rob.len() && rob[lo].seq == seq).then_some(lo)
+}
+
+/// The pre-store-queue memory-ordering check: walks every ROB entry older
+/// than the load at `idx`.
+fn reference_lsq_check(rob: &Rob, idx: usize, addr: u64, width: MemWidth) -> LsqVerdict {
+    let lo = addr;
+    let hi = addr.wrapping_add(width.bytes());
+    let mut forward: Option<usize> = None;
+    for j in 0..idx {
+        let s = &rob[j];
+        let Instr::Store { width: sw, .. } = s.instr else { continue };
+        let Some(sa) = s.mem_addr else {
+            return LsqVerdict::Blocked; // unknown older store address
+        };
+        let s_hi = sa.wrapping_add(sw.bytes());
+        if !(sa < hi && lo < s_hi) {
+            continue;
+        }
+        if sa == addr && sw.bytes() == width.bytes() {
+            forward = Some(j); // youngest exact match wins
+        } else {
+            return LsqVerdict::Blocked; // partial overlap
+        }
+    }
+    match forward {
+        Some(j) if rob[j].srcs[1].state.value().is_some() => LsqVerdict::Forward(j),
+        Some(_) => LsqVerdict::Blocked, // data not yet available
+        None => LsqVerdict::Memory,
+    }
 }
 
 /// Merges sorted `extra` into sorted `dst`, deduplicating (the old
@@ -64,6 +124,39 @@ fn merge_sorted(dst: &mut Vec<Seq>, extra: &[Seq]) {
 impl RefSets {
     pub(crate) fn new() -> Self {
         RefSets::default()
+    }
+
+    /// Checks one handle resolution: `found` (the core's O(1) answer for
+    /// the entry `seq`) must equal the binary search's.
+    pub(crate) fn check_lookup(&self, rob: &Rob, seq: Seq, found: Option<usize>) {
+        let expected = reference_rob_index(rob, seq);
+        assert_eq!(found, expected, "ROB lookup of seq={seq} diverged from the binary search");
+        self.lookups_checked.set(self.lookups_checked.get() + 1);
+    }
+
+    /// Checks one load ordering verdict: the store-queue `verdict` for the
+    /// load at ROB index `idx` must equal the full-ROB scan's.
+    pub(crate) fn check_lsq(
+        &self,
+        rob: &Rob,
+        idx: usize,
+        addr: u64,
+        width: MemWidth,
+        verdict: LsqVerdict,
+    ) {
+        let expected = reference_lsq_check(rob, idx, addr, width);
+        assert_eq!(
+            verdict, expected,
+            "load seq={} at {addr:#x}: store-queue verdict diverged from the full-ROB scan",
+            rob[idx].seq
+        );
+        let mut counts = self.lsq_checked.get();
+        counts[match verdict {
+            LsqVerdict::Blocked => 0,
+            LsqVerdict::Forward(_) => 1,
+            LsqVerdict::Memory => 2,
+        }] += 1;
+        self.lsq_checked.set(counts);
     }
 
     /// Old STT root-activity predicate: a root is active while it is still

@@ -37,6 +37,7 @@
 //! head at its dispatch, so there are at most ROB-size − 1 of them.
 
 use crate::dyninstr::Seq;
+use levioso_isa::Instr;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -179,8 +180,16 @@ pub(crate) struct SlotTable {
     pending: VecDeque<(u16, Seq)>,
     /// Sequence number of each slot's owner.
     seq: Vec<Seq>,
-    /// Program counter of each control slot's owner.
+    /// Program counter of each slot's owner.
     pc: Vec<u32>,
+    /// Dense index of each static conditional branch, by pc (`NO_BRANCH`
+    /// for every other pc).
+    branch_ids: Vec<u32>,
+    /// Per static conditional branch: its unresolved dynamic instances
+    /// (`unresolved ∩ ¬indirect ∩ pc`), so an annotation's instance set is
+    /// an OR over its static dependencies instead of a walk over every
+    /// unresolved branch.
+    unresolved_by_branch: Vec<SpecMask>,
     /// Cycle each control slot's owner resolved at (valid once resolved,
     /// until the slot is reused) — replaces the old unbounded
     /// `resolve_cycle: HashMap<Seq, u64>`.
@@ -206,23 +215,41 @@ pub(crate) struct SlotTable {
     max_in_use: usize,
 }
 
+/// `branch_ids` entry of a pc that holds no conditional branch.
+const NO_BRANCH: u32 = u32::MAX;
+
 impl SlotTable {
-    /// A table sized for `rob_size` in-flight instructions.
+    /// A table sized for `rob_size` in-flight instructions of the program
+    /// `instrs`.
     ///
     /// # Panics
     ///
-    /// Panics if `2 * rob_size` exceeds [`SPEC_MASK_BITS`].
-    pub(crate) fn new(rob_size: usize) -> Self {
+    /// Panics if `2 * rob_size` exceeds [`SPEC_MASK_BITS`] (the simulator
+    /// caps the size and reports an oversized ROB from `run`).
+    pub(crate) fn new(rob_size: usize, instrs: &[Instr]) -> Self {
         let capacity = 2 * rob_size;
         assert!(
             capacity <= SPEC_MASK_BITS,
             "ROB size {rob_size} needs {capacity} speculation slots; SpecMask holds {SPEC_MASK_BITS}"
         );
+        let mut branches = 0;
+        let branch_ids = instrs
+            .iter()
+            .map(|i| match i {
+                Instr::Branch { .. } => {
+                    branches += 1;
+                    branches - 1
+                }
+                _ => NO_BRANCH,
+            })
+            .collect();
         SlotTable {
             free: (0..capacity as u16).rev().collect(),
             pending: VecDeque::new(),
             seq: vec![0; capacity],
             pc: vec![0; capacity],
+            branch_ids,
+            unresolved_by_branch: vec![SpecMask::EMPTY; branches as usize],
             resolve_cycle: vec![0; capacity],
             shadow: vec![SpecMask::EMPTY; capacity],
             unresolved: SpecMask::EMPTY,
@@ -281,20 +308,26 @@ impl SlotTable {
         self.live_ctrl.set(slot);
         if is_indirect {
             self.indirect.set(slot);
+        } else {
+            let id = self.branch_ids[pc as usize];
+            debug_assert_ne!(id, NO_BRANCH, "direct control slots belong to conditional branches");
+            self.unresolved_by_branch[id as usize].set(slot);
         }
         slot
     }
 
-    /// Allocates a slot for a load dispatched at `seq` whose speculation
-    /// shadow at rename is `shadow`.
+    /// Allocates a slot for a load dispatched at `seq`/`pc` whose
+    /// speculation shadow at rename is `shadow`.
     pub(crate) fn alloc_load(
         &mut self,
         seq: Seq,
+        pc: u32,
         shadow: SpecMask,
         rob_front_seq: Option<Seq>,
     ) -> u16 {
         let slot = self.take_slot(rob_front_seq);
         self.seq[slot as usize] = seq;
+        self.pc[slot as usize] = pc;
         self.shadow[slot as usize] = shadow;
         self.live_load.set(slot);
         slot
@@ -302,8 +335,34 @@ impl SlotTable {
 
     /// Marks a control slot resolved at `cycle`.
     pub(crate) fn resolve(&mut self, slot: u16, cycle: u64) {
-        self.unresolved.clear(slot);
+        self.clear_unresolved(slot);
         self.resolve_cycle[slot as usize] = cycle;
+    }
+
+    /// Drops `slot` from the unresolved set and from its static branch's
+    /// instance mask.
+    fn clear_unresolved(&mut self, slot: u16) {
+        if self.unresolved.contains(slot) && !self.indirect.contains(slot) {
+            let id = self.branch_ids[self.pc[slot as usize] as usize];
+            self.unresolved_by_branch[id as usize].clear(slot);
+        }
+        self.unresolved.clear(slot);
+    }
+
+    /// The annotation instance set for the static dependency pcs `deps`:
+    /// every unresolved indirect jump (hardware barrier rule) plus the
+    /// unresolved dynamic instances of each listed conditional branch.
+    pub(crate) fn annotation_instances(&self, deps: &[u32]) -> SpecMask {
+        let mut m = self.unresolved.and(&self.indirect);
+        for &pc in deps {
+            match self.branch_ids.get(pc as usize) {
+                Some(&id) if id != NO_BRANCH => {
+                    m.union_with(&self.unresolved_by_branch[id as usize]);
+                }
+                _ => {}
+            }
+        }
+        m
     }
 
     /// Marks a load slot's owner as done executing.
@@ -313,7 +372,7 @@ impl SlotTable {
 
     /// Clears a slot from every state mask.
     fn clear_state(&mut self, slot: u16) {
-        self.unresolved.clear(slot);
+        self.clear_unresolved(slot);
         self.indirect.clear(slot);
         self.live_ctrl.clear(slot);
         self.live_load.clear(slot);
@@ -341,7 +400,7 @@ impl SlotTable {
         self.seq[slot as usize]
     }
 
-    /// Program counter of a control slot's owner.
+    /// Program counter of the slot's owner.
     pub(crate) fn pc_of(&self, slot: u16) -> u32 {
         self.pc[slot as usize]
     }
@@ -420,11 +479,18 @@ mod tests {
         assert_eq!(filtered.iter().collect::<Vec<_>>(), vec![100, 700]);
     }
 
+    /// A program whose every pc holds a conditional branch.
+    fn branches(n: usize) -> Vec<Instr> {
+        use levioso_isa::reg::*;
+        let b = Instr::Branch { cond: levioso_isa::BranchCond::Eq, rs1: A0, rs2: ZERO, target: 0 };
+        vec![b; n]
+    }
+
     #[test]
     fn slot_lifecycle_and_barriers() {
-        let mut t = SlotTable::new(4); // capacity 8
+        let mut t = SlotTable::new(4, &branches(8)); // capacity 8
         let c0 = t.alloc_ctrl(10, 5, false, None);
-        let l0 = t.alloc_load(11, SpecMask::EMPTY, Some(10));
+        let l0 = t.alloc_load(11, 6, SpecMask::EMPTY, Some(10));
         assert!(t.unresolved.contains(c0) && t.live_ctrl.contains(c0));
         assert!(t.live_load.contains(l0) && !t.live_ctrl.contains(l0));
         t.resolve(c0, 42);
@@ -450,7 +516,7 @@ mod tests {
 
     #[test]
     fn squash_free_is_immediate() {
-        let mut t = SlotTable::new(4);
+        let mut t = SlotTable::new(4, &branches(1));
         let c = t.alloc_ctrl(1, 0, true, None);
         assert!(t.indirect.contains(c));
         t.free_squash(c);
@@ -459,8 +525,40 @@ mod tests {
     }
 
     #[test]
+    fn annotation_instances_follow_per_branch_masks() {
+        use levioso_isa::reg::*;
+        // pc 0, 2: conditional branches; pc 1: an indirect jump; pc 3: ALU.
+        let mut prog = branches(3);
+        prog[1] = Instr::Jalr { rd: ZERO, base: A0, offset: 0 };
+        prog.push(Instr::Nop);
+        let mut t = SlotTable::new(8, &prog);
+        let b0 = t.alloc_ctrl(1, 0, false, None);
+        let j1 = t.alloc_ctrl(2, 1, true, Some(1));
+        let b2 = t.alloc_ctrl(3, 2, false, Some(1));
+        let b0_again = t.alloc_ctrl(4, 0, false, Some(1));
+        let set = |m: SpecMask| m.iter().collect::<Vec<_>>();
+        let sorted = |mut v: Vec<u16>| {
+            v.sort_unstable();
+            v
+        };
+        // Indirect jumps always count; listed branches add all their
+        // unresolved instances; unknown or non-branch pcs add nothing.
+        assert_eq!(set(t.annotation_instances(&[])), vec![j1]);
+        assert_eq!(set(t.annotation_instances(&[0])), sorted(vec![b0, j1, b0_again]));
+        assert_eq!(set(t.annotation_instances(&[2, 3, 99])), sorted(vec![j1, b2]));
+        // Resolution, squash and commit all drop the instance.
+        t.resolve(b0, 7);
+        assert_eq!(set(t.annotation_instances(&[0])), sorted(vec![j1, b0_again]));
+        t.free_squash(b0_again);
+        t.free_commit(b0, 5);
+        assert_eq!(set(t.annotation_instances(&[0, 2])), sorted(vec![j1, b2]));
+        t.resolve(j1, 8);
+        assert_eq!(set(t.annotation_instances(&[0, 2])), vec![b2]);
+    }
+
+    #[test]
     #[should_panic(expected = "speculation slots")]
     fn oversized_rob_is_rejected() {
-        let _ = SlotTable::new(SPEC_MASK_BITS / 2 + 1);
+        let _ = SlotTable::new(SPEC_MASK_BITS / 2 + 1, &[]);
     }
 }

@@ -11,6 +11,13 @@
 //! identical statistics and architectural state — i.e. the oracle observes
 //! without perturbing.
 //!
+//! The oracle also keeps the scan-based lookups the core replaced — the
+//! binary search of the ROB by sequence number and the full-ROB store scan
+//! of a load's memory-ordering check — and asserts that every O(1) ROB
+//! handle resolution and every store-queue verdict equals them. Targeted
+//! programs below make each store-queue rule (unknown older address,
+//! partial overlap, youngest exact match, squash) actually fire under it.
+//!
 //! A separate test pins the slot-table state bound: speculation bookkeeping
 //! is O(ROB), never O(dynamic instructions), which is the leak the old
 //! `resolve_cycle: HashMap` had.
@@ -211,13 +218,22 @@ fn seed_regs(sim: &mut Simulator, seed: i64) {
     }
 }
 
+/// What the oracle checked during one run.
+#[derive(Debug, Clone, Copy, Default)]
+struct Checked {
+    events: u64,
+    lookups: u64,
+    /// Load ordering verdicts, `[blocked, forward, memory]`.
+    lsq: [u64; 3],
+}
+
 fn run_once(
     p: &Program,
     seed: i64,
     policy: &dyn SpeculationPolicy,
     config: &CoreConfig,
     check: bool,
-) -> (SimStats, u64, u64) {
+) -> (SimStats, u64, Checked) {
     let mut sim = Simulator::new(p, config.clone());
     if check {
         sim.enable_reference_checking();
@@ -225,7 +241,12 @@ fn run_once(
     seed_regs(&mut sim, seed);
     let stats =
         sim.run(policy).unwrap_or_else(|e| panic!("{}: {e}\n{}", policy.name(), p.to_asm_string()));
-    (stats, sim.arch_fingerprint(), sim.reference_events_checked())
+    let checked = Checked {
+        events: sim.reference_events_checked(),
+        lookups: sim.reference_lookups_checked(),
+        lsq: sim.reference_lsq_verdicts(),
+    };
+    (stats, sim.arch_fingerprint(), checked)
 }
 
 levioso_support::props! {
@@ -271,8 +292,9 @@ levioso_support::props! {
         for config in [&default, &tiny] {
             for policy in policies {
                 let (plain_stats, plain_fp, _) = run_once(&p, seed, policy, config, false);
-                let (ref_stats, ref_fp, events) = run_once(&p, seed, policy, config, true);
-                assert!(events > 0, "{}: oracle observed no events", policy.name());
+                let (ref_stats, ref_fp, checked) = run_once(&p, seed, policy, config, true);
+                assert!(checked.events > 0, "{}: oracle observed no events", policy.name());
+                assert!(checked.lookups > 0, "{}: oracle checked no ROB lookups", policy.name());
                 assert_eq!(plain_fp, golden, "{}: wrong architectural state", policy.name());
                 assert_eq!(ref_fp, golden, "{}: oracle perturbed results", policy.name());
                 assert_eq!(
@@ -284,6 +306,119 @@ levioso_support::props! {
             }
         }
     }
+}
+
+/// Runs `asm` (with `mem` preloaded) under the oracle on the default
+/// core, cross-checks the final state against the interpreter, and
+/// returns `a0`, the statistics and what the oracle checked.
+fn checked_lsq_run(asm: &str, mem: &[(u64, i64)]) -> (i64, SimStats, Checked) {
+    let p = levioso_isa::assemble("lsq", asm).expect("assembles");
+    let mut machine = Machine::new();
+    let mut sim = Simulator::new(&p, CoreConfig::default());
+    sim.enable_reference_checking();
+    for &(a, v) in mem {
+        machine.mem.write_i64(a, v);
+        sim.mem.write_i64(a, v);
+    }
+    machine.run(&p, 1_000_000).expect("interpreter halts");
+    let stats = sim.run(&UnsafeBaseline).expect("simulator halts");
+    assert_eq!(sim.arch_fingerprint(), machine.arch_fingerprint(), "architectural state");
+    let checked = Checked {
+        events: sim.reference_events_checked(),
+        lookups: sim.reference_lookups_checked(),
+        lsq: sim.reference_lsq_verdicts(),
+    };
+    (sim.reg(A0), stats, checked)
+}
+
+/// A store whose address waits on a cache miss blocks a younger load to
+/// an unrelated address until the address is known.
+#[test]
+fn store_queue_unknown_older_address_blocks() {
+    let (a0, _, checked) = checked_lsq_run(
+        r"
+        li   a2, 0x300000
+        li   a3, 0x200000
+        li   t1, 5
+        ld   t0, 0(a2)
+        sd   t1, 0(t0)
+        ld   a0, 8(a3)
+        halt
+    ",
+        &[(0x30_0000, 0x20_0000), (0x20_0008, 7)],
+    );
+    assert_eq!(a0, 7);
+    let [blocked, _, memory] = checked.lsq;
+    assert!(blocked > 0, "the load never waited on the unknown address: {checked:?}");
+    assert!(memory > 0, "the load never read memory: {checked:?}");
+}
+
+/// A load inside a wider older store waits for the store to drain.
+#[test]
+fn store_queue_partial_overlap_blocks() {
+    let (a0, _, checked) = checked_lsq_run(
+        r"
+        li   a1, 0x200000
+        li   t1, 0x1122334455667788
+        sd   t1, 0(a1)
+        lw   a0, 4(a1)
+        halt
+    ",
+        &[],
+    );
+    assert_eq!(a0, 0x1122_3344);
+    let [blocked, forward, memory] = checked.lsq;
+    assert!(blocked > 0 && memory > 0, "expected block then memory read: {checked:?}");
+    assert_eq!(forward, 0, "a partial overlap never forwards: {checked:?}");
+}
+
+/// Of two older exact matches, the younger store forwards. A cache miss
+/// at the ROB head keeps both stores from committing, so the load sees
+/// both.
+#[test]
+fn store_queue_youngest_exact_match_forwards() {
+    let (a0, _, checked) = checked_lsq_run(
+        r"
+        li   a1, 0x200000
+        li   a2, 0x300000
+        li   t1, 5
+        li   t2, 9
+        ld   t3, 0(a2)
+        sd   t1, 0(a1)
+        sd   t2, 0(a1)
+        ld   a0, 0(a1)
+        halt
+    ",
+        &[],
+    );
+    assert_eq!(a0, 9);
+    assert!(checked.lsq[1] > 0, "the load never forwarded: {checked:?}");
+}
+
+/// A wrong-path store forwards to a wrong-path load, then the squash
+/// drops it: the correct-path load reads memory.
+#[test]
+fn store_queue_squash_drops_younger_stores() {
+    let (a0, stats, checked) = checked_lsq_run(
+        r"
+        li   a1, 0x200000
+        li   a2, 0x300000
+        li   t5, 99
+        ld   t0, 0(a2)
+        bnez t0, skip
+        sd   t5, 0(a1)
+        ld   t6, 0(a1)
+    skip:
+        ld   a0, 0(a1)
+        halt
+    ",
+        &[(0x30_0000, 1), (0x20_0000, 3)],
+    );
+    assert_eq!(a0, 3, "the squashed store must not reach the correct path");
+    assert!(stats.mispredicts > 0 && stats.squashed > 0, "the branch must mispredict");
+    let [_, forward, memory] = checked.lsq;
+    assert!(forward > 0, "the wrong-path load never forwarded: {checked:?}");
+    assert!(memory > 0, "the correct-path load never read memory: {checked:?}");
 }
 
 /// Speculation bookkeeping stays O(ROB): a branch-and-load-heavy loop

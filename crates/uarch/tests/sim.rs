@@ -268,6 +268,19 @@ fn infinite_loop_hits_cycle_limit() {
 }
 
 #[test]
+fn out_of_range_rob_is_a_named_error() {
+    let p = assemble("t", "li a0, 1\nhalt").unwrap();
+    // Too large for the speculation masks (construction used to panic),
+    // and empty (the front end used to spin to the cycle limit).
+    for rob in [levioso_uarch::MAX_ROB_SIZE + 1, 0] {
+        let mut sim = Simulator::new(&p, CoreConfig::default().with_rob_size(rob));
+        let err = sim.run(&UnsafeBaseline).unwrap_err();
+        assert_eq!(err, SimError::Config(levioso_uarch::ConfigError::RobSize { rob_size: rob }));
+        assert_eq!(sim.stats().cycles, 0, "nothing is simulated");
+    }
+}
+
+#[test]
 fn small_rob_still_correct() {
     let mut config = CoreConfig::default().with_rob_size(16);
     config.iq_size = 8;

@@ -12,6 +12,11 @@
 #     lint gate:          clippy on every workspace target, warnings denied
 #
 #   test:
+#     committed snapshot: perfcheck --require-measured on the committed
+#                         results/BENCH_sim_throughput.json, before any
+#                         run below rewrites it — the recorded throughput
+#                         must come from simulating cells, not from a
+#                         warm cache replay (cells: 0)
 #     tier-1 verify:      cargo build --release && cargo test -q — first
 #                         and fast, so the basic contract fails early
 #     workspace tests:    unit, property, integration, and doc tests
@@ -126,6 +131,10 @@ step_golden_gate() {
 }
 
 step_perfcheck() { cargo run -q --release --offline -p levioso-bench --bin perfcheck; }
+
+step_committed_snapshot() {
+  cargo run -q --release --offline -p levioso-bench --bin perfcheck -- --require-measured
+}
 
 step_trace_smoke() {
   cargo run -q --release --offline -p levioso-bench --bin levitrace -- \
@@ -314,6 +323,7 @@ if [[ "$mode" == "lint" || "$mode" == "all" ]]; then
 fi
 
 if [[ "$mode" == "test" || "$mode" == "all" ]]; then
+  run_step "committed throughput snapshot was measured, not replayed" step_committed_snapshot
   run_step "tier-1: cargo build --release" step_build
   run_step "tier-1: cargo test -q" step_test
   run_step "full-workspace tests" step_ws_tests
